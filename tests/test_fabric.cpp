@@ -226,6 +226,105 @@ TEST(FabricFaultTest, FaultRunsAreDeterministicAcrossThreadCounts) {
             b.fabric()->stats().frames_dropped.load());
 }
 
+// ---------------------------------------------------------------------------
+// Flat wire traffic, pinned frame for frame: the parity suites compare
+// weights, history and CostMeter, which a change to the flat round's frame
+// sequence (an extra self-addressed bundle, a reordered JoinRound/ModelDown
+// pair, a different fault draw) could leave untouched. These counts are
+// those of the flat protocol — per task slot, ascending, a JoinRound then a
+// ModelDown from the root at t = 0; UpdateUps resent under the retry policy
+// — under drop + duplicate + reorder faults, identical on both transports
+// and at any thread count.
+
+struct TrafficPin {
+  std::uint64_t frames_sent, bytes_sent, frames_dropped, frames_retried,
+      frames_duplicated, frames_reordered, bytes_root_in;
+};
+
+FaultConfig flat_traffic_faults() {
+  FaultConfig f;
+  f.drop_prob = 0.2;
+  f.dup_prob = 0.25;
+  f.reorder_prob = 0.3;
+  f.seed = 77;
+  return f;
+}
+
+void expect_traffic(const FabricStats& s, const TrafficPin& pin,
+                    const std::string& what) {
+  EXPECT_EQ(s.frames_sent.load(), pin.frames_sent) << what;
+  EXPECT_EQ(s.bytes_sent.load(), pin.bytes_sent) << what;
+  EXPECT_EQ(s.frames_dropped.load(), pin.frames_dropped) << what;
+  EXPECT_EQ(s.frames_retried.load(), pin.frames_retried) << what;
+  EXPECT_EQ(s.frames_duplicated.load(), pin.frames_duplicated) << what;
+  EXPECT_EQ(s.frames_reordered.load(), pin.frames_reordered) << what;
+  EXPECT_EQ(s.bytes_root_in.load(), pin.bytes_root_in) << what;
+  EXPECT_EQ(s.frames_rejected.load(), 0u) << what;
+}
+
+TEST(FlatTrafficTest, FedAvgSharedPayloadFramesArePinned) {
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = tiny_fleet(data.num_clients());
+  Rng rng(5);
+  Model init(tiny_model(), rng);
+  const int prev_threads = ThreadPool::global().size();
+  const TrafficPin pin{53, 93996, 10, 3, 10, 11, 43380};
+
+  for (const bool socket : {false, true}) {
+    for (int threads : {1, 4}) {
+      ThreadPool::set_global_threads(threads);
+      FlRunConfig cfg = base_cfg(31);
+      cfg.clients_per_round = 5;
+      cfg.eval_every = 0;
+      cfg.use_fabric = true;
+      cfg.fabric_faults = flat_traffic_faults();
+      cfg.with_retries(2, 5.0);
+      if (socket) cfg.with_socket_transport();
+      FedAvgRunner runner(init, data, fleet, cfg);
+      runner.run();
+      expect_traffic(runner.fabric()->stats(), pin,
+                     std::string(socket ? "socket" : "sim") + " threads " +
+                         std::to_string(threads));
+    }
+  }
+  ThreadPool::set_global_threads(prev_threads);
+}
+
+TEST(FlatTrafficTest, FedTransPerTaskPayloadFramesArePinned) {
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = tiny_fleet(data.num_clients());
+  const int prev_threads = ThreadPool::global().size();
+  const TrafficPin pin{71, 128640, 17, 4, 14, 14, 59976};
+
+  for (const bool socket : {false, true}) {
+    for (int threads : {1, 4}) {
+      ThreadPool::set_global_threads(threads);
+      FedTransConfig cfg;
+      cfg.rounds = 5;
+      cfg.clients_per_round = 4;
+      cfg.local.steps = 2;
+      cfg.local.batch = 6;
+      cfg.gamma = 2;
+      cfg.doc_delta = 2;
+      cfg.beta = 10.0;  // force transformation: several payload models
+      cfg.act_window = 2;
+      cfg.max_models = 3;
+      cfg.seed = 19;
+      cfg.use_fabric = true;
+      cfg.fabric_faults = flat_traffic_faults();
+      cfg.with_retries(2, 5.0);
+      if (socket) cfg.with_socket_transport();
+      FedTransTrainer trainer(tiny_model(), data, fleet, cfg);
+      trainer.run();
+      EXPECT_GE(trainer.num_models(), 2) << "transformation should have fired";
+      expect_traffic(trainer.engine().fabric()->stats(), pin,
+                     std::string(socket ? "socket" : "sim") + " threads " +
+                         std::to_string(threads));
+    }
+  }
+  ThreadPool::set_global_threads(prev_threads);
+}
+
 TEST(SimTransportTest, DeterministicFaultsAndExactByteAccounting) {
   auto fleet = tiny_fleet(4);
   FaultConfig faults;
