@@ -15,7 +15,9 @@
 #   * an ASan+UBSan build (FEDTRANS_SANITIZE=ON) running the tensor/nn
 #     suites — the packed-panel GEMM micro-kernels and the batched im2col
 #     lowering are exactly the code where an off-by-one tail read would
-#     otherwise go unnoticed;
+#     otherwise go unnoticed — and the wire/fabric suites (test_wire,
+#     test_fabric, test_socket_transport), which parse frames and route
+#     them through the threaded FederationServer tree;
 #   * a SIMD-disabled build (FEDTRANS_SIMD=OFF, still -Werror) proving the
 #     scalar parity reference compiles warnings-clean on its own.
 # Set FEDTRANS_CI_FAST=1 to skip both auxiliary legs.
@@ -55,14 +57,16 @@ FEDTRANS_TRACE=1 ctest --test-dir "$BUILD_DIR" --output-on-failure \
 
 if [ -z "${FEDTRANS_CI_FAST:-}" ]; then
   # ASan+UBSan over the kernel-heavy suites (tensor, dtype, GEMM backends,
-  # conv lowerings, layers).
+  # conv lowerings, layers) and the frame-parsing fabric suites (wire
+  # codecs, flat and tree server rounds, socket reassembly).
   SAN_DIR="$BUILD_DIR-asan"
   cmake -B "$SAN_DIR" -S . -DFEDTRANS_SANITIZE=ON
   cmake --build "$SAN_DIR" -j "$JOBS" --target \
     test_tensor test_gemm_simd test_mixed_precision test_backend \
-    test_layers test_layers_extended
+    test_layers test_layers_extended test_wire test_fabric \
+    test_socket_transport
   ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
-    -R 'test_(tensor|gemm_simd|mixed_precision|backend|layers|layers_extended)$'
+    -R 'test_(tensor|gemm_simd|mixed_precision|backend|layers|layers_extended|wire|fabric|socket_transport)$'
 
   # Scalar-only build: the always-on parity reference must stay
   # warnings-clean without any SIMD code paths compiled in.

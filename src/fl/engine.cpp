@@ -105,6 +105,12 @@ FederationEngine::FederationEngine(std::unique_ptr<Strategy> strategy,
   FT_CHECK_MSG(strategy_ != nullptr, "engine requires a strategy");
   FT_CHECK_MSG(static_cast<int>(fleet_.size()) == data_.num_clients(),
                "fleet size must match client count");
+  FT_CHECK_MSG(!cfg_.use_fabric || !cfg_.topology.partial_aggregation ||
+                   cfg_.topology.levels >= 2,
+               "SessionConfig: topology.partial_aggregation needs an "
+               "aggregation tree (levels >= 2) — a flat fabric has no "
+               "aggregators to pre-sum at. Add with_tree(), or drop "
+               "with_partial_aggregation().");
   // Validate the partial-aggregation/strategy combination here, at session
   // build time, instead of letting the first round throw: a numeric tree
   // can only pre-sum weighted-linear-sum reductions. Strategies that
@@ -112,7 +118,7 @@ FederationEngine::FederationEngine(std::unique_ptr<Strategy> strategy,
   // compose with trees of any depth — in the default verbatim-bundle mode,
   // where interior aggregators forward updates untouched.
   if (cfg_.use_fabric && cfg_.topology.partial_aggregation &&
-      cfg_.topology.levels >= 2 && cfg_.mode == SessionMode::Sync)
+      cfg_.mode == SessionMode::Sync)
     FT_CHECK_MSG(
         strategy_->supports_partial_aggregation(),
         "SessionConfig: topology.partial_aggregation=true needs a strategy "
@@ -159,7 +165,7 @@ RoundContext FederationEngine::make_context() {
 
 bool FederationEngine::numeric_rounds() const {
   if (!cfg_.use_fabric || !cfg_.topology.partial_aggregation ||
-      cfg_.topology.levels < 2 || cfg_.mode != SessionMode::Sync)
+      cfg_.mode != SessionMode::Sync)
     return false;
   FT_CHECK_MSG(strategy_->supports_partial_aggregation(),
                "partial_aggregation topology configured, but strategy '"

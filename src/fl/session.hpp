@@ -41,19 +41,21 @@ enum class PartialQuant : std::uint8_t { None = 0, Int8 = 1, Fp16 = 2 };
 /// Shape and reliability knobs of the federation fabric (only consulted
 /// when `use_fabric` is set).
 ///
-/// `levels`/`shards`/`branching` describe the aggregation tree: `levels ==
-/// 1` is the flat FederationServer (every client talks to the root);
-/// `levels >= 2` puts `levels - 1` aggregator tiers between the root and
-/// the clients, with `shards` leaf aggregators on the bottom tier and
-/// interior tiers shrinking by the `branching` factor going up. The root
-/// ships one bundled `ShardDown` frame per child, interiors split bundles
-/// among theirs, leaves fan out to their client partition (task slot i
-/// lands on leaf i % shards), collect the partition's `UpdateUp`s in
-/// parallel on the shared ThreadPool, and forward one bundled `PartialUp`
-/// upstream, merged tier by tier back to the root. By default bundles
-/// carry the per-task updates verbatim (the numeric reduction stays with
-/// the engine, in fixed task order), so fault-free tree rounds of any
-/// depth are bitwise identical to flat ones.
+/// `levels`/`shards`/`branching` describe the aggregation tree every
+/// fabric round runs over. `levels == 1` is flat: the 1-level tree whose
+/// root is its own single leaf, so every client talks to the root and
+/// `shards` is ignored. `levels >= 2` puts `levels - 1` aggregator tiers
+/// between the root and the clients, with `shards` leaf aggregators on the
+/// bottom tier and interior tiers shrinking by the `branching` factor going
+/// up. The root ships one bundled `ShardDown` frame per child, interiors
+/// split bundles among theirs, leaves fan out to their client partition
+/// (task slot i lands on leaf i % shards), collect the partition's
+/// `UpdateUp`s in parallel on the shared ThreadPool, and forward one
+/// bundled `PartialUp` upstream, merged tier by tier back to the root. A
+/// flat root runs the same fan-out and update match itself. By default
+/// bundles carry the per-task updates verbatim (the numeric reduction
+/// stays with the engine, in fixed task order), so fault-free tree rounds
+/// of any depth are bitwise identical to flat ones.
 ///
 /// `partial_aggregation` is the opt-in associativity-tolerant mode: leaf
 /// and interior aggregators numerically reduce the updates they collect —
@@ -90,7 +92,8 @@ struct FabricTopology {
   /// `branching` children on the tier below (0 = auto: ceil square-ish
   /// root so the tiers shrink evenly).
   int branching = 0;
-  /// Numeric leaf/interior reduction (see above). Ignored when levels < 2.
+  /// Numeric leaf/interior reduction (see above). Needs levels >= 2: the
+  /// engine rejects it on a flat fabric at construction.
   bool partial_aggregation = false;
   /// Quantize reduced PartialUp group sums on the wire (requires
   /// partial_aggregation — the engine fails loudly otherwise).
@@ -218,14 +221,6 @@ struct SessionConfig : SessionRuntime {
     use_fabric = true;
     transport = TransportKind::Socket;
     socket = s;
-    return *this;
-  }
-  /// Sharded fabric: a 2-level aggregation tree with `k` leaf shards
-  /// (implies with_fabric()).
-  SessionConfig& with_shards(int k, int levels = 2) {
-    use_fabric = true;
-    topology.shards = k;
-    topology.levels = levels;
     return *this;
   }
   /// Deep aggregation tree: `levels` tiers above the clients, `shards`

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -20,7 +22,8 @@
 namespace fedtrans {
 
 FabricTree::FabricTree(const FabricTopology& topo) : levels_(topo.levels) {
-  FT_CHECK_MSG(levels_ >= 2, "a fabric tree needs at least root + leaves");
+  FT_CHECK_MSG(levels_ >= 1, "a fabric tree needs at least its root");
+  if (levels_ == 1) return;  // flat: the root is its own single leaf
   const int tiers = levels_ - 1;
   branching_ = topo.branching;
   if (branching_ <= 0) {
@@ -51,6 +54,7 @@ FabricTree::FabricTree(const FabricTopology& topo) : levels_(topo.levels) {
 }
 
 std::int32_t FabricTree::node_id(int tier, int j) const {
+  if (tier == 0) return kServerId;
   return aggregator_id(offset_[static_cast<std::size_t>(tier - 1)] + j);
 }
 
@@ -60,6 +64,7 @@ std::int32_t FabricTree::parent_id(int tier, int j) const {
 }
 
 std::pair<int, int> FabricTree::child_range(int tier, int j) const {
+  if (tier == 0) return {0, tier_width(1)};
   const int below = tier_width(tier + 1);
   return {std::min(below, j * branching_),
           std::min(below, (j + 1) * branching_)};
@@ -67,7 +72,9 @@ std::pair<int, int> FabricTree::child_range(int tier, int j) const {
 
 std::pair<int, int> FabricTree::leaf_range(int tier, int j) const {
   // Tiers nest by powers of the branching factor: node (t, j) covers
-  // leaves [j·b^(tiers-t), (j+1)·b^(tiers-t)) clamped to the leaf count.
+  // leaves [j·b^(tiers-t), (j+1)·b^(tiers-t)) clamped to the leaf count;
+  // the root covers them all.
+  if (tier == 0) return {0, leaves()};
   std::int64_t span = 1;
   for (int t = tier; t < levels_ - 1; ++t) span *= branching_;
   const auto n = static_cast<std::int64_t>(leaves());
@@ -76,7 +83,7 @@ std::pair<int, int> FabricTree::leaf_range(int tier, int j) const {
 }
 
 std::pair<int, int> FabricTree::sibling_range(int leaf) const {
-  if (levels_ == 2) return {0, leaves()};  // all leaves share the root
+  if (levels_ <= 2) return {0, leaves()};  // all leaves share the root
   return child_range(levels_ - 2, leaf / branching_);
 }
 
@@ -144,8 +151,8 @@ std::string shared_body(const WeightSet& global) {
   return os.str();
 }
 
-/// Slot/sender validation shared by every update consumer (flat collect,
-/// leaf match, root merge): a task id is admissible iff it indexes the
+/// Slot/sender validation shared by every update consumer (leaf match,
+/// root merge): a task id is admissible iff it indexes the
 /// round's task list and was reported by the client owning that slot.
 /// First-arrival dedup stays with the caller — the structures differ.
 bool admissible_slot(std::int32_t task, std::int32_t sender,
@@ -250,6 +257,57 @@ PartialUpdate merge_bundles(std::vector<PartialUpdate> bundles,
   return m;
 }
 
+/// Drain `node`'s mailbox and hand every frame of `round` that decodes to
+/// `visit(msg, env)`. `decode` maps a frame to its message, or to
+/// std::nullopt for a frame kind this consumer does not handle. This is the
+/// one place a mailbox frame is decoded: a frame that fails to decode is
+/// treated as loss, but counted — the transports never corrupt bytes, so
+/// frames_rejected > 0 means a codec bug (asserted 0 in tests).
+template <class Decode, class Visit>
+void drain_decoded(Transport& net, std::int32_t node, std::uint32_t round,
+                   Decode&& decode, Visit&& visit) {
+  for (Envelope& env : net.drain(node)) {
+    decltype(decode(env.frame)) msg;
+    try {
+      msg = decode(env.frame);
+    } catch (const Error&) {
+      net.stats_mutable().frames_rejected.fetch_add(1,
+                                                    std::memory_order_relaxed);
+      continue;
+    }
+    if (msg && msg->round == round) visit(*msg, env);
+  }
+}
+
+std::optional<FabricMessage> as_message(const std::string& frame) {
+  return decode_message(frame);
+}
+
+/// PartialUps only: Ack/Abort frames are bookkeeping, skipped undecoded.
+std::optional<PartialUpdate> as_partial_up(const std::string& frame) {
+  if (frame_type(frame) != MsgType::PartialUp) return std::nullopt;
+  return decode_partial_up(frame);
+}
+
+/// The first `type` message of `round` in `node`'s mailbox and its delivery
+/// instant; later duplicates are drained and dropped. Callers ask only
+/// after a delivered send, so a missing message is a fabric bug.
+FabricMessage first_arrival(Transport& net, std::int32_t node,
+                            std::uint32_t round, MsgType type,
+                            double& at_s) {
+  std::optional<FabricMessage> first;
+  drain_decoded(net, node, round, as_message,
+                [&](FabricMessage& msg, const Envelope& env) {
+                  if (msg.type != type || first) return;
+                  at_s = env.deliver_at_s;
+                  first = std::move(msg);
+                });
+  FT_CHECK_MSG(first.has_value(),
+               "delivered frame missing from the mailbox of endpoint "
+                   << node);
+  return std::move(*first);
+}
+
 }  // namespace
 
 std::shared_ptr<const DeltaStore::Entry> DeltaStore::peek(int client) const {
@@ -291,35 +349,29 @@ void ClientAgent::poll(std::uint32_t round, const Model& prototype,
   std::map<std::int32_t, FabricMessage> downs;  // task -> first ModelDown
   std::map<std::int32_t, double> down_at_s;
 
-  for (Envelope& env : net.drain(id_)) {
-    FabricMessage msg;
-    try {
-      msg = decode_message(env.frame, prev ? &prev->weights : nullptr,
-                           prev ? prev->version : 0);
-    } catch (const Error&) {
-      // Treated as loss, but counted: the transport never corrupts bytes,
-      // so frames_rejected > 0 means a codec bug (asserted 0 in tests).
-      net.stats_mutable().frames_rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      continue;
-    }
-    if (msg.round != round) continue;
-    if (msg.type == MsgType::JoinRound) {
-      if (invited.insert(msg.task).second) {
-        FabricMessage ack;
-        ack.type = MsgType::Ack;
-        ack.round = round;
-        ack.sender = id_;
-        ack.receiver = msg.sender;
-        net.send(id_, msg.sender, encode_message(ack), env.deliver_at_s);
-      }
-    } else if (msg.type == MsgType::ModelDown) {
-      if (downs.find(msg.task) == downs.end()) {
-        down_at_s[msg.task] = env.deliver_at_s;
-        downs.emplace(msg.task, std::move(msg));
-      }
-    }
-  }
+  drain_decoded(
+      net, id_, round,
+      [&](const std::string& frame) -> std::optional<FabricMessage> {
+        return decode_message(frame, prev ? &prev->weights : nullptr,
+                              prev ? prev->version : 0);
+      },
+      [&](FabricMessage& msg, const Envelope& env) {
+        if (msg.type == MsgType::JoinRound) {
+          if (invited.insert(msg.task).second) {
+            FabricMessage ack;
+            ack.type = MsgType::Ack;
+            ack.round = round;
+            ack.sender = id_;
+            ack.receiver = msg.sender;
+            net.send(id_, msg.sender, encode_message(ack), env.deliver_at_s);
+          }
+        } else if (msg.type == MsgType::ModelDown) {
+          if (downs.find(msg.task) == downs.end()) {
+            down_at_s[msg.task] = env.deliver_at_s;
+            downs.emplace(msg.task, std::move(msg));
+          }
+        }
+      });
 
   // Mid-round dropout is a per-(round, client) device event: if it fires,
   // every task trains (burning real compute) and then vanishes unsent.
@@ -451,8 +503,8 @@ FederationServer::FederationServer(const Model& prototype,
                "quantized partials (with_quantized_partials) require the "
                "numeric reduction (with_partial_aggregation) — verbatim "
                "bundles must stay bit-exact");
-  if (sharded()) tree_ = FabricTree(topo_);
-  if (topo_.broadcast_cache && sharded()) {
+  tree_ = FabricTree(topo_);
+  if (topo_.broadcast_cache) {
     // One receiver cache + one sender-side known-map per aggregator; sized
     // once so the per-node state never reallocates under the node-parallel
     // routing workers.
@@ -540,10 +592,9 @@ FederationServer::ParsedBody FederationServer::parse_body(
 }
 
 std::string FederationServer::model_down_for(
-    std::uint32_t round, std::int32_t slot, int client,
-    const std::string& body, const ParsedBody* parsed,
-    const std::array<std::uint64_t, 4>& rng_state, std::uint8_t& flags) {
-  (void)round;
+    std::int32_t slot, int client, const std::string& body,
+    const ParsedBody* parsed, const std::array<std::uint64_t, 4>& rng_state,
+    std::uint8_t& flags) {
   flags = 0;
   if (topo_.delta_downlink && parsed != nullptr) {
     const auto entry = delta_store_.peek(client);
@@ -573,137 +624,112 @@ std::string FederationServer::model_down_for(
   return model_down_payload(slot, body, rng_state);
 }
 
-void FederationServer::send_join(std::uint32_t round, std::int32_t task,
-                                 int client, std::int32_t coordinator,
-                                 double sent_at_s) {
-  FabricMessage join;
-  join.type = MsgType::JoinRound;
-  join.round = round;
-  join.sender = coordinator;
-  join.receiver = client;
-  join.task = task;
-  net_->send(coordinator, client, encode_message(join), sent_at_s);
-}
-
-void FederationServer::broadcast_shared(std::uint32_t round,
-                                        const WeightSet& global,
-                                        const std::vector<int>& clients,
-                                        const std::vector<Rng>& client_rngs) {
-  FT_SPAN_ARG("server", "broadcast", "tasks", clients.size());
+ExchangeResult FederationServer::run_round(
+    std::uint32_t round, const WeightSet& global,
+    const std::vector<int>& clients, const std::vector<Rng>& client_rngs,
+    const std::vector<std::int32_t>& reduce_keys) {
   // Serialize the weight set once; per task only the (tiny) slot id and
   // Rng-state sections of the ModelDown payload differ, so broadcast is one
   // encode plus a couple of memcpys per client rather than n WeightSet
   // deep copies.
-  const std::string body = shared_body(global);
-
-  if (sharded()) {
-    std::vector<const std::string*> slot_body(clients.size(), &body);
-    broadcast_sharded(round, clients, client_rngs, slot_body);
-    return;
-  }
-
-  std::unique_ptr<ParsedBody> parsed;
-  if (topo_.delta_downlink)
-    parsed = std::make_unique<ParsedBody>(parse_body(body));
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const int c = clients[i];
-    send_join(round, static_cast<std::int32_t>(i), c, kServerId);
-    std::uint8_t flags = 0;
-    const std::string payload =
-        model_down_for(round, static_cast<std::int32_t>(i), c, body,
-                       parsed.get(), client_rngs[i].state(), flags);
-    net_->send(kServerId, c,
-               encode_frame(MsgType::ModelDown, round, kServerId, c, payload,
-                            flags));
-  }
+  ShardDownlink all;
+  all.bodies.push_back(shared_body(global));
+  all.tasks.resize(clients.size());  // every slot downloads body 0
+  return exchange(round, std::move(all), clients, client_rngs, reduce_keys);
 }
 
-void FederationServer::broadcast_tasks(std::uint32_t round,
-                                       const std::vector<Model*>& payloads,
-                                       const std::vector<int>& clients,
-                                       const std::vector<Rng>& client_rngs) {
-  FT_SPAN_ARG("server", "broadcast", "tasks", clients.size());
+ExchangeResult FederationServer::run_round(
+    std::uint32_t round, const std::vector<Model*>& payloads,
+    const std::vector<int>& clients, const std::vector<Rng>& client_rngs,
+    const std::vector<std::int32_t>& reduce_keys) {
+  FT_CHECK_MSG(payloads.size() == clients.size(),
+               "one payload model per task slot required");
   // Architecture + weights ride the frame: the agent rebuilds the exact
   // submodel this task trains, no shared prototype required. The engine
   // hands tasks in the same payload_key group one Model instance, so the
   // (large) spec + weights section is encoded once per distinct instance
   // and reused; only the slot id and Rng state differ per frame.
-  std::unordered_map<const Model*, std::string> encoded;
+  ShardDownlink all;
+  all.tasks.resize(clients.size());
+  std::unordered_map<const Model*, std::uint32_t> body_of;
   for (std::size_t i = 0; i < clients.size(); ++i) {
-    std::string& body = encoded[payloads[i]];
-    if (body.empty()) body = task_body(*payloads[i]);
+    auto [it, fresh] = body_of.emplace(
+        payloads[i], static_cast<std::uint32_t>(all.bodies.size()));
+    if (fresh) all.bodies.push_back(task_body(*payloads[i]));
+    all.tasks[i].body = it->second;
   }
-
-  if (sharded()) {
-    std::vector<const std::string*> slot_body(clients.size());
-    for (std::size_t i = 0; i < clients.size(); ++i)
-      slot_body[i] = &encoded[payloads[i]];
-    broadcast_sharded(round, clients, client_rngs, slot_body);
-    return;
-  }
-
-  std::unordered_map<const std::string*, std::unique_ptr<ParsedBody>> parsed;
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const int c = clients[i];
-    const std::string& body = encoded[payloads[i]];
-    send_join(round, static_cast<std::int32_t>(i), c, kServerId);
-    const ParsedBody* pb = nullptr;
-    if (topo_.delta_downlink) {
-      auto& slot = parsed[&body];
-      if (!slot) slot = std::make_unique<ParsedBody>(parse_body(body));
-      pb = slot.get();
-    }
-    std::uint8_t flags = 0;
-    const std::string payload =
-        model_down_for(round, static_cast<std::int32_t>(i), c, body, pb,
-                       client_rngs[i].state(), flags);
-    net_->send(kServerId, c,
-               encode_frame(MsgType::ModelDown, round, kServerId, c, payload,
-                            flags));
-  }
+  return exchange(round, std::move(all), clients, client_rngs, reduce_keys);
 }
 
-void FederationServer::broadcast_sharded(
-    std::uint32_t round, const std::vector<int>& clients,
+ExchangeResult FederationServer::exchange(
+    std::uint32_t round, ShardDownlink all, const std::vector<int>& clients,
     const std::vector<Rng>& client_rngs,
-    const std::vector<const std::string*>& slot_body) {
-  FT_SPAN_ARG("server", "broadcast_sharded", "tasks", clients.size());
-  // Root → tree: one bundle per root child, built in a single pass over
-  // the task list (each distinct payload body copied once per child that
-  // references it — the broadcast hot path never materializes a full-tree
-  // bundle). Interior tiers split their bundle further; a bundle lost
-  // despite retries leaves its whole subtree's tasks at LostDown.
-  const int kids = tree_.tier_width(1);
-  std::vector<ShardDownlink> bundles(static_cast<std::size_t>(kids));
-  std::vector<std::unordered_map<const std::string*, std::uint32_t>>
-      body_idx(static_cast<std::size_t>(kids));
-  for (int j = 0; j < kids; ++j) {
-    auto& b = bundles[static_cast<std::size_t>(j)];
-    const auto [lo, hi] = tree_.leaf_range(1, j);
-    b.leaf_lo = lo;
-    b.leaf_hi = hi;
-    b.shard = hi - lo == 1 ? lo : -1;
-  }
+    const std::vector<std::int32_t>& reduce_keys) {
+  FT_SPAN_ARG("server", "exchange", "tasks", clients.size());
+  FT_CHECK_MSG(clients.size() == client_rngs.size(),
+               "one forked Rng per task slot required");
+  FT_CHECK_MSG(reduce_keys.empty() || reduce_keys.size() == clients.size(),
+               "one reduce key per task slot required");
+  // partial_aggregation implies a tree (checked at construction).
+  reduced_round_ = topo_.partial_aggregation && !reduce_keys.empty();
+  all.leaf_lo = 0;
+  all.leaf_hi = tree_.leaves();
   for (std::size_t i = 0; i < clients.size(); ++i) {
-    const int leaf = static_cast<int>(i) % topo_.shards;
-    const auto j = static_cast<std::size_t>(tree_.node_covering(1, leaf));
-    auto& b = bundles[j];
-    auto [it, fresh] = body_idx[j].emplace(
-        slot_body[i], static_cast<std::uint32_t>(b.bodies.size()));
-    if (fresh) b.bodies.push_back(*slot_body[i]);
-    DownlinkTask t;
+    DownlinkTask& t = all.tasks[i];
     t.task = static_cast<std::int32_t>(i);
     t.client = clients[i];
-    t.body = it->second;
-    t.reduce = round_reduce_.empty() ? -1 : round_reduce_[i];
+    t.reduce = reduce_keys.empty() ? -1 : reduce_keys[i];
     t.rng_state = client_rngs[i].state();
-    b.tasks.push_back(t);
   }
-  for (int j = 0; j < kids; ++j)
-    send_bundle(round, kServerId, 1, j, bundles[static_cast<std::size_t>(j)],
-                /*sent_at_s=*/0.0);
+  ExchangeResult out;
+  out.results.resize(clients.size());
+  out.outcomes.assign(clients.size(), ClientOutcome::LostDown);
+  out.reduced = reduced_round_;
+  const std::uint64_t retry_down0 = net_->stats().retry_bytes_down.load();
+  const std::uint64_t retry_up0 = net_->stats().retry_bytes_up.load();
+  const std::uint64_t failovers0 = net_->stats().leaf_failovers.load();
+  const std::uint64_t failover_b0 = net_->stats().failover_bytes_down.load();
+  const std::uint64_t delta_saved0 = net_->stats().delta_saved_bytes.load();
+
+  broadcast(round, std::move(all));
+  collect(round, clients, out);  // aggregation happens in the caller
+
+  out.retry_down_bytes = static_cast<double>(
+      net_->stats().retry_bytes_down.load() - retry_down0);
+  out.retry_up_bytes = static_cast<double>(
+      net_->stats().retry_bytes_up.load() - retry_up0);
+  out.leaf_failovers = static_cast<int>(
+      net_->stats().leaf_failovers.load() - failovers0);
+  out.failover_down_bytes = static_cast<double>(
+      net_->stats().failover_bytes_down.load() - failover_b0);
+  out.delta_saved_bytes = static_cast<double>(
+      net_->stats().delta_saved_bytes.load() - delta_saved0);
+  return out;
+}
+
+void FederationServer::broadcast(std::uint32_t round, ShardDownlink all) {
+  FT_SPAN_ARG("server", "broadcast", "tasks", all.tasks.size());
+  // The root holds the whole task list: a flat root (its own leaf) fans it
+  // out, a tree root ships one bundle per child — each distinct payload
+  // body copied once per child that references it. A bundle lost despite
+  // retries leaves its whole subtree's tasks at LostDown.
+  leaf_served_.assign(static_cast<std::size_t>(tree_.leaves()), {});
+  route_down(round, 0, 0, all, /*at_s=*/0.0);
   route_tiers_down(round);
-  fan_out_shards(round);
+}
+
+void FederationServer::route_down(std::uint32_t round, int tier, int j,
+                                  const ShardDownlink& d, double at_s) {
+  if (tier == tree_.levels() - 1) {
+    fan_out(round, j, d, at_s);
+    return;
+  }
+  const auto [clo, chi] = tree_.child_range(tier, j);
+  for (int c = clo; c < chi; ++c) {
+    const auto [llo, lhi] = tree_.leaf_range(tier + 1, c);
+    send_bundle(round, tree_.node_id(tier, j), tier + 1, c,
+                subset_bundle(d, tree_.leaves(), llo, lhi), at_s);
+  }
 }
 
 void FederationServer::send_bundle(std::uint32_t round, std::int32_t src,
@@ -773,106 +799,78 @@ void FederationServer::send_bundle(std::uint32_t round, std::int32_t src,
 
 void FederationServer::route_tiers_down(std::uint32_t round) {
   FT_SPAN("server", "route_tiers_down");
-  // Interior downlink passes, one tier at a time (node-parallel within a
-  // tier: nodes own disjoint subtrees and mailboxes are thread-safe).
-  for (int t = 1; t + 1 <= topo_.levels - 1; ++t) {
+  // Downlink passes below the root, one tier at a time (node-parallel
+  // within a tier: nodes own disjoint subtrees and mailboxes are
+  // thread-safe). Each node routes the first arrival per leaf range; a leaf
+  // dead for the round routes nothing — its mail rots.
+  const int leaf_tier = tree_.levels() - 1;
+  for (int t = 1; t <= leaf_tier; ++t) {
     ThreadPool::global().parallel_for(
-        tree_.tier_width(t), 1, [&](std::int64_t nlo, std::int64_t nhi) {
-          for (std::int64_t jj = nlo; jj < nhi; ++jj) {
+        tree_.tier_width(t), 1, [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t jj = lo; jj < hi; ++jj) {
             const int j = static_cast<int>(jj);
             const std::int32_t node = tree_.node_id(t, j);
-            std::set<std::int32_t> handled;  // first arrival per leaf range
-            for (Envelope& env : net_->drain(node)) {
-              ShardDownlink d;
-              try {
-                d = decode_shard_down(env.frame,
-                                      topo_.broadcast_cache
-                                          ? &bcast_cache_[agg_index(node)]
-                                          : nullptr);
-              } catch (const Error&) {
-                net_->stats_mutable().frames_rejected.fetch_add(
-                    1, std::memory_order_relaxed);
-                continue;
-              }
-              if (d.round != round) continue;
-              if (!handled.insert(d.leaf_lo).second) continue;
-              drop_missing_bodies(d, node);
-              const auto [clo, chi] = tree_.child_range(t, j);
-              for (int c = clo; c < chi; ++c) {
-                const auto [llo, lhi] = tree_.leaf_range(t + 1, c);
-                send_bundle(round, tree_.node_id(t, j), t + 1, c,
-                            subset_bundle(d, topo_.shards, llo, lhi),
-                            env.deliver_at_s);
-              }
+            if (t == leaf_tier && net_->leaf_dead(round, j)) {
+              net_->drain(node);
+              continue;
             }
+            BroadcastCache* cache = topo_.broadcast_cache
+                                        ? &bcast_cache_[agg_index(node)]
+                                        : nullptr;
+            std::set<std::int32_t> handled;
+            drain_decoded(
+                *net_, node, round,
+                [cache](const std::string& frame)
+                    -> std::optional<ShardDownlink> {
+                  return decode_shard_down(frame, cache);
+                },
+                [&](ShardDownlink& d, const Envelope& env) {
+                  if (!handled.insert(d.leaf_lo).second) return;
+                  drop_missing_bodies(d, node);
+                  route_down(round, t, j, d, env.deliver_at_s);
+                });
           }
         });
   }
 }
 
-void FederationServer::fan_out_shards(std::uint32_t round) {
-  FT_SPAN("server", "fan_out_shards");
-  // Leaves fan their bundle(s) out to the client partition — JoinRound +
-  // ModelDown per task, byte-identical payloads to what a flat broadcast
-  // would have sent (only the coordinator id differs), so agents train
-  // bit-identically. Node-parallel on the shared ThreadPool: a leaf may
-  // serve several partitions after a failover, but partitions are disjoint
-  // and the transport mailboxes are thread-safe. Each leaf records what it
-  // fanned out (slot → reduce key) for its collect pass; a leaf dead this
-  // round fans out nothing.
-  leaf_served_.assign(static_cast<std::size_t>(topo_.shards), {});
-  ThreadPool::global().parallel_for(
-      topo_.shards, 1, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t s = lo; s < hi; ++s) {
-          const std::int32_t leaf = tree_.leaf_id(static_cast<int>(s));
-          if (net_->leaf_dead(round, static_cast<std::int32_t>(s))) {
-            net_->drain(leaf);  // dead for the round: the mail rots
-            continue;
-          }
-          std::set<std::int32_t> handled;  // first arrival per partition
-          for (Envelope& env : net_->drain(leaf)) {
-            ShardDownlink d;
-            try {
-              d = decode_shard_down(env.frame,
-                                    topo_.broadcast_cache
-                                        ? &bcast_cache_[agg_index(leaf)]
-                                        : nullptr);
-            } catch (const Error&) {
-              net_->stats_mutable().frames_rejected.fetch_add(
-                  1, std::memory_order_relaxed);
-              continue;
-            }
-            if (d.round != round) continue;
-            if (!handled.insert(d.shard).second) continue;
-            drop_missing_bodies(d, leaf);
-            // One parse per distinct body in the bundle, built lazily —
-            // rounds without delta downlinks never deserialize here.
-            std::vector<std::unique_ptr<ParsedBody>> parsed(d.bodies.size());
-            for (const DownlinkTask& t : d.tasks) {
-              // Both per-client frames leave when the bundle arrived — a
-              // retried ShardDown must not invite clients retroactively.
-              send_join(round, t.task, t.client, leaf, env.deliver_at_s);
-              const ParsedBody* pb = nullptr;
-              if (topo_.delta_downlink) {
-                auto& slot = parsed[t.body];
-                if (!slot)
-                  slot = std::make_unique<ParsedBody>(
-                      parse_body(d.bodies[t.body]));
-                pb = slot.get();
-              }
-              std::uint8_t flags = 0;
-              const std::string payload =
-                  model_down_for(round, t.task, t.client, d.bodies[t.body],
-                                 pb, t.rng_state, flags);
-              net_->send(leaf, t.client,
-                         encode_frame(MsgType::ModelDown, round, leaf,
-                                      t.client, payload, flags),
-                         env.deliver_at_s);
-              leaf_served_[static_cast<std::size_t>(s)][t.task] = t.reduce;
-            }
-          }
-        }
-      });
+void FederationServer::fan_out(std::uint32_t round, int s,
+                               const ShardDownlink& d, double sent_at_s) {
+  // JoinRound + ModelDown per task, byte-identical payloads whichever node
+  // sends them (only the coordinator id differs), so agents train
+  // bit-identically. Both per-client frames leave when the bundle arrived
+  // (t = 0 at a flat root) — a retried ShardDown must not invite clients
+  // retroactively. A leaf may serve several partitions after a failover,
+  // but partitions are disjoint and the transport mailboxes thread-safe.
+  const std::int32_t node = tree_.leaf_id(s);
+  auto& served = leaf_served_[static_cast<std::size_t>(s)];
+  // One parse per distinct body in the bundle, built lazily — rounds
+  // without delta downlinks never deserialize here.
+  std::vector<std::unique_ptr<ParsedBody>> parsed(d.bodies.size());
+  for (const DownlinkTask& t : d.tasks) {
+    FabricMessage join;
+    join.type = MsgType::JoinRound;
+    join.round = round;
+    join.sender = node;
+    join.receiver = t.client;
+    join.task = t.task;
+    net_->send(node, t.client, encode_message(join), sent_at_s);
+    const ParsedBody* pb = nullptr;
+    if (topo_.delta_downlink) {
+      auto& slot = parsed[t.body];
+      if (!slot)
+        slot = std::make_unique<ParsedBody>(parse_body(d.bodies[t.body]));
+      pb = slot.get();
+    }
+    std::uint8_t flags = 0;
+    const std::string payload = model_down_for(
+        t.task, t.client, d.bodies[t.body], pb, t.rng_state, flags);
+    net_->send(node, t.client,
+               encode_frame(MsgType::ModelDown, round, node, t.client,
+                            payload, flags),
+               sent_at_s);
+    served[t.task] = t.reduce;
+  }
 }
 
 void FederationServer::poll_agents(std::uint32_t round,
@@ -912,220 +910,19 @@ void FederationServer::collect(std::uint32_t round,
   FT_SPAN("server", "collect");
   poll_agents(round, clients, out);
 
-  // Match the server's inbound mail to the task list. Duplicates are
-  // dropped on the floor here (first arrival wins); stale rounds, unknown
-  // slots and sender/slot mismatches are ignored.
-  std::vector<bool> seen(clients.size(), false);
-  for (Envelope& env : net_->drain(kServerId)) {
-    FabricMessage msg;
-    try {
-      msg = decode_message(env.frame);
-    } catch (const Error&) {
-      net_->stats_mutable().frames_rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      continue;
-    }
-    if (msg.round != round) continue;
-    if (msg.type != MsgType::UpdateUp) continue;
-    // Ack and Abort are bookkeeping-only: the agents' ground-truth
-    // outcomes already account for dropouts.
-    if (!admissible_slot(msg.task, msg.sender, clients)) continue;
-    const auto slot = static_cast<std::size_t>(msg.task);
-    if (seen[slot]) continue;
-    seen[slot] = true;
-    LocalTrainResult& res = out.results[slot];
-    res.delta = std::move(msg.weights);
-    res.avg_loss = msg.avg_loss;
-    res.num_samples = msg.num_samples;
-    res.macs_used = msg.macs_used;
-  }
-  // An agent that believes its update was delivered must be matched by an
-  // UpdateUp in the server's mailbox; anything else is a fabric bug.
-  for (std::size_t i = 0; i < clients.size(); ++i)
-    if (out.outcomes[i] == ClientOutcome::Trained)
-      FT_CHECK_MSG(seen[i], "delivered update missing from server mailbox");
-}
-
-void FederationServer::collect_sharded(std::uint32_t round,
-                                       const std::vector<int>& clients,
-                                       ExchangeResult& out) {
-  FT_SPAN("server", "collect_sharded");
-  poll_agents(round, clients, out);
-
-  // Leaf pass: each alive leaf matches the partitions it served at fan-out
-  // and forwards one PartialUp per partition upstream — node-parallel on
-  // the shared ThreadPool (partitions are disjoint, so outcome flips never
-  // race). In a numeric round the leaf folds its updates into per-key
-  // partial sums in slot order and ships metrics-only entries; a bundle
-  // lost despite the retry policy takes its partition's trained updates
-  // down with it.
-  ThreadPool::global().parallel_for(
-      topo_.shards, 1, [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t s = lo; s < hi; ++s) {
-          const std::int32_t leaf = tree_.leaf_id(static_cast<int>(s));
-          const auto& served = leaf_served_[static_cast<std::size_t>(s)];
-          if (served.empty()) {
-            net_->drain(leaf);  // dead or idle: nothing was fanned out
-            continue;
-          }
-          std::map<std::int32_t, UpdateEntry> matched;  // slot -> first win
-          std::map<std::int32_t, double> up_at;  // partition -> last deliver
-          for (Envelope& env : net_->drain(leaf)) {
-            FabricMessage msg;
-            try {
-              msg = decode_message(env.frame);
-            } catch (const Error&) {
-              net_->stats_mutable().frames_rejected.fetch_add(
-                  1, std::memory_order_relaxed);
-              continue;
-            }
-            if (msg.round != round || msg.type != MsgType::UpdateUp)
-              continue;
-            const std::int32_t i = msg.task;
-            if (!admissible_slot(i, msg.sender, clients)) continue;
-            // This leaf only owns slots it fanned out itself.
-            if (served.find(i) == served.end()) continue;
-            if (matched.count(i) != 0) continue;
-            UpdateEntry e;
-            e.task = i;
-            e.client = msg.sender;
-            e.delta = std::move(msg.weights);
-            e.avg_loss = msg.avg_loss;
-            e.num_samples = msg.num_samples;
-            e.macs_used = msg.macs_used;
-            matched.emplace(i, std::move(e));
-            auto& at = up_at[i % topo_.shards];
-            at = std::max(at, env.deliver_at_s);
-          }
-          if (matched.empty()) continue;
-
-          // One bundle per served partition, slots in ascending order
-          // (matched is slot-sorted); numeric rounds fold the deltas into
-          // per-key groups as they go and keep the metrics verbatim.
-          std::map<std::int32_t, PartialUpdate> parts;
-          for (auto& [slot, e] : matched) {
-            PartialUpdate& p = parts[slot % topo_.shards];
-            if (reduced_round_) {
-              const std::int32_t key = served.at(slot);
-              ReducedGroup* g = nullptr;
-              for (ReducedGroup& cand : p.groups)
-                if (cand.key == key) g = &cand;
-              if (g == nullptr) {
-                ReducedGroup fresh;
-                fresh.key = key;
-                fresh.min_slot = slot;
-                fresh.sum = ws_zeros_like(e.delta);
-                p.groups.push_back(std::move(fresh));
-                g = &p.groups.back();
-              }
-              ws_axpy(g->sum, static_cast<float>(e.num_samples), e.delta);
-              g->weight += static_cast<double>(e.num_samples);
-              g->count += 1;
-              g->min_slot = std::min(g->min_slot, slot);
-              e.delta.clear();  // the sum rides instead; metrics stay
-            }
-            p.entries.push_back(std::move(e));
-          }
-          for (auto& [part, p] : parts) {
-            p.shard = part;
-            p.reduced = reduced_round_;
-            p.quant = reduced_round_
-                          ? static_cast<std::uint8_t>(topo_.quantize_partials)
-                          : kPartialQuantF32;
-            const std::int32_t parent =
-                tree_.parent_id(topo_.levels - 1, static_cast<int>(s));
-            const bool delivered = send_with_retry(
-                *net_, leaf, parent, up_at[part], topo_, /*downlink=*/false,
-                [&](std::uint8_t flags) {
-                  return encode_partial_up(round, leaf, parent, p, flags);
-                });
-            if (!delivered) {
-              // The partition's partial aggregate never reached its
-              // parent: the trained updates are lost on the (backbone)
-              // uplink.
-              for (const UpdateEntry& e : p.entries) {
-                auto& o = out.outcomes[static_cast<std::size_t>(e.task)];
-                if (o == ClientOutcome::Trained) o = ClientOutcome::LostUp;
-              }
-            }
-          }
-        }
-      });
-
-  // Interior tiers merge child bundles upward, tier by tier (node-parallel
-  // within a tier; nodes cover disjoint subtrees). Duplicate deliveries
-  // dedup at bundle granularity (first arrival per (sender, partition)).
+  // Bottom-up, tier by tier: the leaves match their partitions' updates
+  // (a flat root is its own leaf), the tiers above merge bundles.
+  const int leaf_tier = tree_.levels() - 1;
+  std::vector<PartialUpdate> at_root =
+      collect_tier(round, leaf_tier, clients, out);
   FT_SPAN("server", "partial_merge");
-  for (int t = topo_.levels - 2; t >= 1; --t) {
-    ThreadPool::global().parallel_for(
-        tree_.tier_width(t), 1, [&](std::int64_t nlo, std::int64_t nhi) {
-          for (std::int64_t jj = nlo; jj < nhi; ++jj) {
-            const int j = static_cast<int>(jj);
-            const std::int32_t node = tree_.node_id(t, j);
-            std::vector<PartialUpdate> bundles;
-            std::set<std::pair<std::int32_t, std::int32_t>> seen_b;
-            double last_s = 0.0;
-            for (Envelope& env : net_->drain(node)) {
-              PartialUpdate p;
-              try {
-                if (frame_type(env.frame) != MsgType::PartialUp) continue;
-                p = decode_partial_up(env.frame);
-              } catch (const Error&) {
-                net_->stats_mutable().frames_rejected.fetch_add(
-                    1, std::memory_order_relaxed);
-                continue;
-              }
-              if (p.round != round) continue;
-              if (!seen_b.insert({p.sender, p.shard}).second) continue;
-              last_s = std::max(last_s, env.deliver_at_s);
-              bundles.push_back(std::move(p));
-            }
-            if (bundles.empty()) continue;
-            PartialUpdate m = merge_bundles(std::move(bundles),
-                                            reduced_round_);
-            m.shard = j;
-            m.quant = reduced_round_
-                          ? static_cast<std::uint8_t>(topo_.quantize_partials)
-                          : kPartialQuantF32;
-            const std::int32_t parent = tree_.parent_id(t, j);
-            const bool delivered = send_with_retry(
-                *net_, node, parent, last_s, topo_, /*downlink=*/false,
-                [&](std::uint8_t flags) {
-                  return encode_partial_up(round, node, parent, m, flags);
-                });
-            if (!delivered) {
-              for (const UpdateEntry& e : m.entries) {
-                auto& o = out.outcomes[static_cast<std::size_t>(e.task)];
-                if (o == ClientOutcome::Trained) o = ClientOutcome::LostUp;
-              }
-            }
-          }
-        });
-  }
+  for (int t = leaf_tier - 1; t >= 0; --t)
+    at_root = collect_tier(round, t, clients, out);
 
-  // Root: merge the surviving bundles back into the flat task list — the
-  // same slot/sender validation and first-arrival dedup as a flat collect,
-  // just over bundled entries (and, in a numeric round, the merged reduce
-  // groups the engine's absorb_reduced path consumes).
-  std::vector<PartialUpdate> bundles;
-  std::set<std::pair<std::int32_t, std::int32_t>> seen_b;
-  for (Envelope& env : net_->drain(kServerId)) {
-    PartialUpdate p;
-    try {
-      if (frame_type(env.frame) != MsgType::PartialUp)
-        continue;  // Ack/Abort: bookkeeping only
-      p = decode_partial_up(env.frame);
-    } catch (const Error&) {
-      net_->stats_mutable().frames_rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      continue;
-    }
-    if (p.round != round) continue;
-    if (!seen_b.insert({p.sender, p.shard}).second) continue;
-    bundles.push_back(std::move(p));
-  }
-  PartialUpdate merged = merge_bundles(std::move(bundles), reduced_round_);
-
+  // Fill the task list from what reached the root (and, in a numeric round,
+  // the merged reduce groups the engine's absorb_reduced path consumes):
+  // slot/sender validation and first-arrival dedup over bundled entries.
+  PartialUpdate merged = merge_bundles(std::move(at_root), reduced_round_);
   std::vector<bool> seen(clients.size(), false);
   for (UpdateEntry& e : merged.entries) {
     if (!admissible_slot(e.task, e.client, clients)) continue;
@@ -1139,75 +936,146 @@ void FederationServer::collect_sharded(std::uint32_t round,
     res.macs_used = e.macs_used;
   }
   if (reduced_round_) out.groups = std::move(merged.groups);
+  // An agent that believes its update was delivered must be matched at the
+  // root; anything else is a fabric bug.
   for (std::size_t i = 0; i < clients.size(); ++i)
     if (out.outcomes[i] == ClientOutcome::Trained)
       FT_CHECK_MSG(seen[i], "delivered update missing from root mailbox");
 }
 
-ExchangeResult FederationServer::exchange(
-    std::uint32_t round, const std::vector<int>& clients, std::size_t n_rngs,
-    const std::function<void()>& broadcast_fn) {
-  FT_SPAN_ARG("server", "exchange", "tasks", clients.size());
-  FT_CHECK_MSG(clients.size() == n_rngs,
-               "one forked Rng per task slot required");
-  FT_CHECK_MSG(round_reduce_.empty() ||
-                   round_reduce_.size() == clients.size(),
-               "one reduce key per task slot required");
-  reduced_round_ = topo_.partial_aggregation && sharded() &&
-                   !round_reduce_.empty();
-  ExchangeResult out;
-  out.results.resize(clients.size());
-  out.outcomes.assign(clients.size(), ClientOutcome::LostDown);
-  out.reduced = reduced_round_;
-  const std::uint64_t retry_down0 = net_->stats().retry_bytes_down.load();
-  const std::uint64_t retry_up0 = net_->stats().retry_bytes_up.load();
-  const std::uint64_t failovers0 = net_->stats().leaf_failovers.load();
-  const std::uint64_t failover_b0 = net_->stats().failover_bytes_down.load();
-  const std::uint64_t delta_saved0 = net_->stats().delta_saved_bytes.load();
-
-  phase_ = Phase::Broadcast;
-  broadcast_fn();
-  phase_ = Phase::Collect;
-  if (sharded())
-    collect_sharded(round, clients, out);
-  else
-    collect(round, clients, out);
-  phase_ = Phase::Aggregate;  // aggregation happens in the caller
-
-  out.retry_down_bytes = static_cast<double>(
-      net_->stats().retry_bytes_down.load() - retry_down0);
-  out.retry_up_bytes = static_cast<double>(
-      net_->stats().retry_bytes_up.load() - retry_up0);
-  out.leaf_failovers = static_cast<int>(
-      net_->stats().leaf_failovers.load() - failovers0);
-  out.failover_down_bytes = static_cast<double>(
-      net_->stats().failover_bytes_down.load() - failover_b0);
-  out.delta_saved_bytes = static_cast<double>(
-      net_->stats().delta_saved_bytes.load() - delta_saved0);
-  round_reduce_.clear();
-  return out;
+std::vector<PartialUpdate> FederationServer::collect_tier(
+    std::uint32_t round, int t, const std::vector<int>& clients,
+    ExchangeResult& out) {
+  // Node-parallel on the shared ThreadPool: nodes cover disjoint
+  // partitions, so outcome flips never race.
+  std::vector<PartialUpdate> at_root;
+  ThreadPool::global().parallel_for(
+      tree_.tier_width(t), 1, [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t jj = lo; jj < hi; ++jj) {
+          const int j = static_cast<int>(jj);
+          std::vector<Upstream> ups = t == tree_.levels() - 1
+                                          ? match_updates(round, j, clients)
+                                          : merge_children(round, t, j);
+          if (t == 0) {  // the root (tier width 1) keeps what it gathered
+            for (Upstream& u : ups) at_root.push_back(std::move(u.bundle));
+            continue;
+          }
+          const std::int32_t node = tree_.node_id(t, j);
+          const std::int32_t parent = tree_.parent_id(t, j);
+          for (Upstream& u : ups) {
+            const bool delivered = send_with_retry(
+                *net_, node, parent, u.at_s, topo_, /*downlink=*/false,
+                [&](std::uint8_t flags) {
+                  return encode_partial_up(round, node, parent, u.bundle,
+                                           flags);
+                });
+            if (delivered) continue;
+            // The bundle never reached its parent: its trained updates are
+            // lost on the (backbone) uplink.
+            for (const UpdateEntry& e : u.bundle.entries) {
+              auto& o = out.outcomes[static_cast<std::size_t>(e.task)];
+              if (o == ClientOutcome::Trained) o = ClientOutcome::LostUp;
+            }
+          }
+        }
+      });
+  return at_root;
 }
 
-ExchangeResult FederationServer::run_round(
-    std::uint32_t round, const WeightSet& global,
-    const std::vector<int>& clients, const std::vector<Rng>& client_rngs,
-    const std::vector<std::int32_t>& reduce_keys) {
-  round_reduce_ = reduce_keys;
-  return exchange(round, clients, client_rngs.size(), [&] {
-    broadcast_shared(round, global, clients, client_rngs);
-  });
+std::vector<FederationServer::Upstream> FederationServer::match_updates(
+    std::uint32_t round, int s, const std::vector<int>& clients) {
+  const std::int32_t leaf = tree_.leaf_id(s);
+  const auto& served = leaf_served_[static_cast<std::size_t>(s)];
+  if (served.empty()) {
+    net_->drain(leaf);  // dead or idle: nothing was fanned out
+    return {};
+  }
+  // Duplicates are dropped here (first arrival wins); unknown slots,
+  // sender/slot mismatches and slots another leaf served are ignored. Ack
+  // and Abort are bookkeeping only: the agents' ground-truth outcomes
+  // already account for dropouts.
+  std::map<std::int32_t, UpdateEntry> matched;  // slot -> first arrival
+  std::map<std::int32_t, double> up_at;  // partition -> last delivery
+  drain_decoded(*net_, leaf, round, as_message,
+                [&](FabricMessage& msg, const Envelope& env) {
+                  const std::int32_t i = msg.task;
+                  if (msg.type != MsgType::UpdateUp ||
+                      !admissible_slot(i, msg.sender, clients) ||
+                      served.count(i) == 0 || matched.count(i) != 0)
+                    return;
+                  UpdateEntry e;
+                  e.task = i;
+                  e.client = msg.sender;
+                  e.delta = std::move(msg.weights);
+                  e.avg_loss = msg.avg_loss;
+                  e.num_samples = msg.num_samples;
+                  e.macs_used = msg.macs_used;
+                  matched.emplace(i, std::move(e));
+                  auto& at = up_at[tree_.leaf_of(i)];
+                  at = std::max(at, env.deliver_at_s);
+                });
+
+  // One bundle per served partition, slots in ascending order (matched is
+  // slot-sorted); numeric rounds fold the deltas into per-key groups as
+  // they go and keep the metrics verbatim.
+  std::map<std::int32_t, PartialUpdate> parts;
+  for (auto& [slot, e] : matched) {
+    PartialUpdate& p = parts[tree_.leaf_of(slot)];
+    if (reduced_round_) {
+      const std::int32_t key = served.at(slot);
+      ReducedGroup* g = nullptr;
+      for (ReducedGroup& cand : p.groups)
+        if (cand.key == key) g = &cand;
+      if (g == nullptr) {
+        ReducedGroup fresh;
+        fresh.key = key;
+        fresh.min_slot = slot;
+        fresh.sum = ws_zeros_like(e.delta);
+        p.groups.push_back(std::move(fresh));
+        g = &p.groups.back();
+      }
+      ws_axpy(g->sum, static_cast<float>(e.num_samples), e.delta);
+      g->weight += static_cast<double>(e.num_samples);
+      g->count += 1;
+      g->min_slot = std::min(g->min_slot, slot);
+      e.delta.clear();  // the sum rides instead; metrics stay
+    }
+    p.entries.push_back(std::move(e));
+  }
+  std::vector<Upstream> ups;
+  for (auto& [part, p] : parts) {
+    p.shard = part;
+    p.reduced = reduced_round_;
+    p.quant = reduced_round_
+                  ? static_cast<std::uint8_t>(topo_.quantize_partials)
+                  : kPartialQuantF32;
+    ups.push_back({std::move(p), up_at[part]});
+  }
+  return ups;
 }
 
-ExchangeResult FederationServer::run_round(
-    std::uint32_t round, const std::vector<Model*>& payloads,
-    const std::vector<int>& clients, const std::vector<Rng>& client_rngs,
-    const std::vector<std::int32_t>& reduce_keys) {
-  FT_CHECK_MSG(payloads.size() == clients.size(),
-               "one payload model per task slot required");
-  round_reduce_ = reduce_keys;
-  return exchange(round, clients, client_rngs.size(), [&] {
-    broadcast_tasks(round, payloads, clients, client_rngs);
-  });
+std::vector<FederationServer::Upstream> FederationServer::merge_children(
+    std::uint32_t round, int t, int j) {
+  // Duplicate deliveries dedup at bundle granularity (first arrival per
+  // (sender, partition)).
+  std::vector<PartialUpdate> bundles;
+  std::set<std::pair<std::int32_t, std::int32_t>> seen;
+  double last_s = 0.0;
+  drain_decoded(*net_, tree_.node_id(t, j), round, as_partial_up,
+                [&](PartialUpdate& p, const Envelope& env) {
+                  if (!seen.insert({p.sender, p.shard}).second) return;
+                  last_s = std::max(last_s, env.deliver_at_s);
+                  bundles.push_back(std::move(p));
+                });
+  if (bundles.empty()) return {};
+  Upstream u{merge_bundles(std::move(bundles), reduced_round_), last_s};
+  u.bundle.shard = j;
+  u.bundle.quant = reduced_round_
+                       ? static_cast<std::uint8_t>(topo_.quantize_partials)
+                       : kPartialQuantF32;
+  std::vector<Upstream> ups;
+  ups.push_back(std::move(u));
+  return ups;
 }
 
 AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
@@ -1228,7 +1096,7 @@ AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
   // folds completions in is preserved relative to a flat fabric.
   std::vector<std::int32_t> chain;  // root-to-leaf aggregator endpoints
   if (sharded()) {
-    const int part = client % topo_.shards;
+    const int part = tree_.leaf_of(client);
     const int owner = owner_leaf(job, part);
     if (owner < 0) return t;  // whole fault domain down: LostDown
     if (owner != part) {
@@ -1257,23 +1125,7 @@ AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
                                  payload),
                     down_sent_s))
       return t;
-    bool hop_got = false;
-    for (Envelope& env : net_->drain(hop)) {
-      FabricMessage msg;
-      try {
-        msg = decode_message(env.frame);
-      } catch (const Error&) {
-        net_->stats_mutable().frames_rejected.fetch_add(
-            1, std::memory_order_relaxed);
-        continue;
-      }
-      if (msg.round != job || msg.type != MsgType::ModelDown || hop_got)
-        continue;  // duplicates: first arrival wins
-      hop_got = true;
-      down_sent_s = env.deliver_at_s;
-    }
-    FT_CHECK_MSG(hop_got,
-                 "delivered ModelDown missing from aggregator mailbox");
+    first_arrival(*net_, hop, job, MsgType::ModelDown, down_sent_s);
     down_src = hop;
   }
   const bool down_ok = net_->send(
@@ -1284,24 +1136,8 @@ AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
 
   // Client side: drain, decode, train on receipt.
   double down_at = 0.0;
-  FabricMessage down;
-  bool got_down = false;
-  for (Envelope& env : net_->drain(client)) {
-    FabricMessage msg;
-    try {
-      msg = decode_message(env.frame);
-    } catch (const Error&) {
-      net_->stats_mutable().frames_rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      continue;
-    }
-    if (msg.round != job || msg.type != MsgType::ModelDown || got_down)
-      continue;  // duplicates: first arrival wins
-    got_down = true;
-    down_at = env.deliver_at_s;
-    down = std::move(msg);
-  }
-  FT_CHECK_MSG(got_down, "delivered ModelDown missing from client mailbox");
+  const FabricMessage down =
+      first_arrival(*net_, client, job, MsgType::ModelDown, down_at);
 
   Model local = prototype_;
   local.set_weights(down.weights);
@@ -1349,26 +1185,9 @@ AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
   }
   for (std::size_t k = chain.size(); k-- > 0;) {
     const std::int32_t node = chain[k];
-    FabricMessage fwd;
-    bool hop_got = false;
     double up_at = 0.0;
-    for (Envelope& env : net_->drain(node)) {
-      FabricMessage msg;
-      try {
-        msg = decode_message(env.frame);
-      } catch (const Error&) {
-        net_->stats_mutable().frames_rejected.fetch_add(
-            1, std::memory_order_relaxed);
-        continue;
-      }
-      if (msg.round != job || msg.type != MsgType::UpdateUp || hop_got)
-        continue;
-      hop_got = true;
-      up_at = env.deliver_at_s;
-      fwd = std::move(msg);
-    }
-    FT_CHECK_MSG(hop_got,
-                 "delivered update missing from aggregator mailbox");
+    FabricMessage fwd =
+        first_arrival(*net_, node, job, MsgType::UpdateUp, up_at);
     const std::int32_t parent = k == 0 ? kServerId : chain[k - 1];
     fwd.sender = node;
     fwd.receiver = parent;
@@ -1389,23 +1208,9 @@ AsyncTurnaround FederationServer::async_exchange(std::uint32_t job,
       net_->stats().retry_bytes_up.load() - retry0);
 
   // Server side: collect this job's UpdateUp and its delivery instant.
-  bool got_up = false;
-  for (Envelope& env : net_->drain(kServerId)) {
-    FabricMessage msg;
-    try {
-      msg = decode_message(env.frame);
-    } catch (const Error&) {
-      net_->stats_mutable().frames_rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      continue;
-    }
-    if (msg.round != job || msg.type != MsgType::UpdateUp || got_up)
-      continue;
-    got_up = true;
-    t.update_at_s = env.deliver_at_s;
-    t.res.delta = std::move(msg.weights);
-  }
-  FT_CHECK_MSG(got_up, "delivered update missing from server mailbox");
+  t.res.delta = first_arrival(*net_, kServerId, job, MsgType::UpdateUp,
+                              t.update_at_s)
+                    .weights;
   t.outcome = ClientOutcome::Trained;
   t.busy_s = std::max(t.busy_s, t.update_at_s - now_s);
   return t;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -53,29 +52,33 @@ struct ExchangeResult {
 
 /// Deterministic shape of the aggregation tree implied by a FabricTopology:
 /// tier 0 is the root (`kServerId`), tiers 1..levels-1 are aggregator
-/// tiers, and the bottom tier holds the `shards` leaves. Interior tiers
-/// shrink by the branching factor going up (node (t, j)'s children are
-/// tier-(t+1) nodes [j·b, (j+1)·b) clamped). Every participant of the
+/// tiers, and the bottom tier holds the `shards` leaves. A flat fabric
+/// (levels == 1) is the degenerate tree whose root is its own single leaf
+/// (`shards` is ignored). Interior tiers shrink by the branching factor
+/// going up (node (t, j)'s children are tier-(t+1) nodes [j·b, (j+1)·b)
+/// clamped; the root's are all of tier 1). Every participant of the
 /// simulated fabric derives the same tree from the same topology, so
 /// routing needs no wire-level discovery — bundles only carry the leaf
 /// range they cover.
 class FabricTree {
  public:
-  FabricTree() = default;  ///< flat fabric: no aggregators
+  FabricTree() = default;  ///< flat fabric: the root is the single leaf
   explicit FabricTree(const FabricTopology& topo);
 
   int levels() const { return levels_; }
-  int leaves() const { return levels_ >= 2 ? width_.back() : 0; }
+  int leaves() const { return levels_ >= 2 ? width_.back() : 1; }
   int branching() const { return branching_; }
   int num_aggregators() const { return total_; }
   int tier_width(int tier) const {
-    return width_[static_cast<std::size_t>(tier - 1)];
+    return tier == 0 ? 1 : width_[static_cast<std::size_t>(tier - 1)];
   }
-  /// Endpoint id of node j of tier t (t in [1, levels); leaves are the
-  /// bottom tier). Leaves keep the historical ids aggregator_id(0..L-1).
+  /// The leaf partition task slot `slot` belongs to.
+  int leaf_of(std::int32_t slot) const { return slot % leaves(); }
+  /// Endpoint id of node j of tier t: the root for t == 0; leaves keep the
+  /// historical ids aggregator_id(0..L-1).
   std::int32_t node_id(int tier, int j) const;
   std::int32_t leaf_id(int leaf) const { return node_id(levels_ - 1, leaf); }
-  /// Endpoint of node (t, j)'s parent — the root for t == 1.
+  /// Endpoint of node (t, j)'s parent (t >= 1) — the root for t == 1.
   std::int32_t parent_id(int tier, int j) const;
   /// Children of node (t, j) as indices [lo, hi) into tier t + 1.
   std::pair<int, int> child_range(int tier, int j) const;
@@ -171,44 +174,47 @@ class ClientAgent {
 };
 
 /// Multithreaded federation coordinator: executes the per-round protocol
+/// over the aggregation tree of its topology (FabricTree)
 ///
-///   Broadcast — JoinRound + ModelDown frame per task slot
+///   Broadcast — the root hands the round's task list down the tree: one
+///               bundled ShardDown frame per child, interior tiers split
+///               bundles among their children, and each leaf fans its
+///               bundle out to its client partition (task slot i belongs to
+///               leaf i % shards) as a JoinRound + ModelDown per task
 ///   Collect   — ClientAgent workers run concurrently on the shared
-///               ThreadPool; the server drains its mailbox, deduplicates,
-///               and matches UpdateUp/Abort frames to the task list
+///               ThreadPool; each leaf drains its mailbox, deduplicates, and
+///               matches UpdateUp frames to the slots it served, then
+///               forwards one bundled PartialUp per partition, merged tier
+///               by tier (node-parallel) back to the root, which
+///               reassembles the task list
 ///   (Aggregation stays with the caller — the FederationEngine folds the
 ///    collected deltas with exactly the same fixed-order reduction as its
 ///    in-process path, which is what makes fault-free fabric runs bitwise
 ///    identical.)
 ///
-/// With a tree topology (FabricTopology::levels >= 2) the same round runs
-/// over an aggregation tree of arbitrary depth: the root ships one bundled
-/// ShardDown frame per child, interior tiers split bundles among their
-/// children, and each leaf aggregator fans its bundle out to its client
-/// partition (task slot i belongs to leaf i % shards), collects the
-/// partition's UpdateUps — node-parallel on the shared ThreadPool — and
-/// forwards one bundled PartialUp upstream, merged tier by tier back to
-/// the root. By default bundles carry the per-task updates verbatim, so
-/// the root reassembles exactly the task list a flat round would have
-/// collected and fault-free tree rounds of any depth stay bitwise
-/// identical to flat ones. With FabricTopology::partial_aggregation the
-/// aggregators instead reduce their updates numerically (per reduce group:
-/// Σ num_samples·Δ + the weight total, folded in ascending min-slot order
-/// at every merge point) and only per-task metrics ride verbatim.
+/// A flat fabric (FabricTopology::levels == 1) is the degenerate tree whose
+/// root is its own single leaf: the root fans the task list out and matches
+/// the UpdateUps itself, so no ShardDown or PartialUp frame is ever sent.
+/// By default bundles carry the per-task updates verbatim, so the root
+/// reassembles exactly the task list a flat round collects and fault-free
+/// tree rounds of any depth stay bitwise identical to flat ones. With
+/// FabricTopology::partial_aggregation (trees only) the aggregators instead
+/// reduce their updates numerically (per reduce group: Σ num_samples·Δ +
+/// the weight total, folded in ascending min-slot order at every merge
+/// point) and only per-task metrics ride verbatim.
 ///
 /// Leaves are per-shard fault domains: a leaf dead for the round
 /// (FaultConfig::leaf_death_prob) has its partition's bundle redirected to
 /// an alive sibling one ack-timeout later — billed as failover traffic and
 /// counted in FabricStats::leaf_failovers. With no alive sibling the
-/// partition is lost for the round (LostDown).
+/// partition is lost for the round (LostDown). The root of a flat fabric
+/// never dies.
 ///
 /// Straggler policy (overcommit/deadline) is applied by the strategy before
 /// broadcast from predicted completion times, FedScale-style, so the task
 /// list the fabric sees is already deadline-trimmed.
 class FederationServer {
  public:
-  enum class Phase : std::uint8_t { Idle, Broadcast, Collect, Aggregate };
-
   FederationServer(const Model& prototype, const ClientDataProvider& data,
                    std::vector<DeviceProfile> fleet, LocalTrainConfig local,
                    FaultConfig faults, FabricTopology topology = {},
@@ -248,7 +254,6 @@ class FederationServer {
                                  const WeightSet& global, const Rng& rng,
                                  double now_s);
 
-  Phase phase() const { return phase_; }
   const Transport& transport() const { return *net_; }
   const FabricStats& stats() const { return net_->stats(); }
   int num_clients() const { return net_->num_clients(); }
@@ -257,45 +262,63 @@ class FederationServer {
   bool sharded() const { return topo_.levels >= 2; }
 
  private:
-  void send_join(std::uint32_t round, std::int32_t task, int client,
-                 std::int32_t coordinator, double sent_at_s = 0.0);
-  void broadcast_shared(std::uint32_t round, const WeightSet& global,
-                        const std::vector<int>& clients,
-                        const std::vector<Rng>& client_rngs);
-  void broadcast_tasks(std::uint32_t round,
-                       const std::vector<Model*>& payloads,
-                       const std::vector<int>& clients,
-                       const std::vector<Rng>& client_rngs);
-  /// Tree broadcast: per root child, one ShardDown bundle referencing
-  /// `slot_body[i]` (the [spec][weights] section task i downloads);
-  /// interior tiers split bundles downward; leaves fan out to per-client
-  /// JoinRound + ModelDown frames.
-  void broadcast_sharded(std::uint32_t round, const std::vector<int>& clients,
-                         const std::vector<Rng>& client_rngs,
-                         const std::vector<const std::string*>& slot_body);
+  /// A bundle a node forwards upstream, and the instant it leaves.
+  struct Upstream {
+    PartialUpdate bundle;
+    double at_s = 0.0;
+  };
+
+  /// One round over the tree. `all` is the round's whole task list as one
+  /// bundle — its body table plus each slot's body index, completed here
+  /// with the slot's client, reduce key and Rng state.
+  ExchangeResult exchange(std::uint32_t round, ShardDownlink all,
+                          const std::vector<int>& clients,
+                          const std::vector<Rng>& client_rngs,
+                          const std::vector<std::int32_t>& reduce_keys);
+  /// The root routes `all` down its own subtree, then every tier below
+  /// routes what it received. Consumes `all`: its bodies are not held
+  /// through the collect.
+  void broadcast(std::uint32_t round, ShardDownlink all);
+  /// Route bundle `d`, arrived at node (tier, j) at `at_s`: a leaf fans it
+  /// out to its clients, any other node splits it among its children.
+  void route_down(std::uint32_t round, int tier, int j,
+                  const ShardDownlink& d, double at_s);
   /// Send one pre-filtered bundle down to node (tier, j): leaf bundles
   /// apply the failover policy, interior bundles go straight down with the
   /// retry policy.
   void send_bundle(std::uint32_t round, std::int32_t src, int tier, int j,
                    const ShardDownlink& d, double sent_at_s);
-  /// Interior downlink pass for tiers 1..levels-2: split each received
-  /// bundle among the node's children (node-parallel per tier).
+  /// Downlink pass for tiers 1..levels-1: each node routes the first
+  /// arrival of every bundle it received (node-parallel per tier); a leaf
+  /// dead for the round routes nothing.
   void route_tiers_down(std::uint32_t round);
-  void fan_out_shards(std::uint32_t round);
+  /// Leaf `s` fans bundle `d` out to its client partition(s) — JoinRound +
+  /// ModelDown per task, sent at `sent_at_s` — and records the slots it
+  /// served in leaf_served_[s].
+  void fan_out(std::uint32_t round, int s, const ShardDownlink& d,
+               double sent_at_s);
   /// Concurrent ClientAgent polling (one worker per distinct client).
   void poll_agents(std::uint32_t round, const std::vector<int>& clients,
                    ExchangeResult& out);
+  /// Collect: poll the agents, gather tier by tier up to the root, and fill
+  /// the task list (or, reduced, the group list) from what reached it.
   void collect(std::uint32_t round, const std::vector<int>& clients,
                ExchangeResult& out);
-  /// Tree collect: leaves match their partition(s) and forward PartialUp
-  /// bundles; interior tiers merge child bundles upward (node-parallel);
-  /// the root merges into the task list (or, reduced, the group list).
-  void collect_sharded(std::uint32_t round, const std::vector<int>& clients,
-                       ExchangeResult& out);
-  ExchangeResult exchange(std::uint32_t round,
-                          const std::vector<int>& clients,
-                          std::size_t n_rngs,
-                          const std::function<void()>& broadcast_fn);
+  /// Gather every node of tier `t` (node-parallel) and forward what each
+  /// gathered to its parent; an upstream bundle lost despite the retry
+  /// policy takes its trained updates down with it. The root forwards
+  /// nothing: for t == 0 its gathered bundles are returned.
+  std::vector<PartialUpdate> collect_tier(std::uint32_t round, int t,
+                                          const std::vector<int>& clients,
+                                          ExchangeResult& out);
+  /// Leaf `s` matches the UpdateUps of the slots it served (first arrival
+  /// wins) into one bundle per served partition, numerically folded in a
+  /// reduced round.
+  std::vector<Upstream> match_updates(std::uint32_t round, int s,
+                                      const std::vector<int>& clients);
+  /// Node (t, j) above the leaves merges the PartialUps of its children
+  /// (first arrival per (sender, partition)) into one bundle.
+  std::vector<Upstream> merge_children(std::uint32_t round, int t, int j);
   /// The leaf serving partition `s` in `round` under the failover policy
   /// (itself when alive, else the next alive sibling, wrapping; -1 when
   /// the whole sibling group is dead).
@@ -329,8 +352,8 @@ class FederationServer {
   /// the client's DeltaStore entry when the topology opts in, the store
   /// matches and the diff is smaller — else the full `body`-backed payload.
   /// Savings are billed into FabricStats at the decision point.
-  std::string model_down_for(std::uint32_t round, std::int32_t slot,
-                             int client, const std::string& body,
+  std::string model_down_for(std::int32_t slot, int client,
+                             const std::string& body,
                              const ParsedBody* parsed,
                              const std::array<std::uint64_t, 4>& rng_state,
                              std::uint8_t& flags);
@@ -342,13 +365,10 @@ class FederationServer {
   FabricTree tree_;
   std::unique_ptr<Transport> net_;
   /// Per-round, per-leaf fan-out memory: slot → reduce key of the tasks
-  /// this leaf served (written only by the owning leaf's worker), plus the
-  /// round's numeric-mode flag and per-slot reduce keys. Consumed by the
-  /// leaf's collect pass.
+  /// this leaf served (written only by the owning leaf's worker), consumed
+  /// by the leaf's collect pass. Plus the round's numeric-mode flag.
   std::vector<std::map<std::int32_t, std::int32_t>> leaf_served_;
-  std::vector<std::int32_t> round_reduce_;
   bool reduced_round_ = false;
-  Phase phase_ = Phase::Idle;
   /// Receiver-side broadcast caches, one per aggregator (broadcast_cache).
   std::vector<BroadcastCache> bcast_cache_;
   /// Sender-side mirror of each aggregator's cache contents: spec digest →

@@ -112,8 +112,6 @@ TEST(FabricParityTest, FaultFreeFabricMatchesInProcessBitwise) {
       b.run();
 
       ASSERT_NE(b.fabric(), nullptr);
-      EXPECT_EQ(b.fabric()->phase(), FederationServer::Phase::Aggregate)
-          << "round state machine should rest in its final phase";
       EXPECT_EQ(b.fabric()->stats().frames_dropped.load(), 0u);
       EXPECT_EQ(b.fabric()->stats().frames_rejected.load(), 0u)
           << "undecodable frames on a clean transport mean a codec bug";
@@ -1227,6 +1225,30 @@ TEST(PartialAggregationTest, UnsupportedStrategyFailsLoudly) {
   cfg.topology.partial_aggregation = true;
   cfg.compression = CompressionKind::TopK;  // per-client: can't pre-sum
   EXPECT_THROW(FedAvgRunner(init, data, fleet, cfg), Error);
+}
+
+TEST(PartialAggregationTest, FlatFabricIsRejectedAtConstruction) {
+  // A flat fabric has no aggregators to pre-sum at: the config must fail
+  // when the session is built, not when its first round runs.
+  auto data = FederatedDataset::generate(tiny_data());
+  auto fleet = tiny_fleet(data.num_clients());
+  Rng rng(3);
+  Model init(tiny_model(), rng);
+
+  FlRunConfig cfg = base_cfg(3);
+  cfg.use_fabric = true;
+  cfg.topology.partial_aggregation = true;  // levels stays 1
+  EXPECT_THROW(FederationEngine(std::make_unique<FedAvgStrategy>(
+                                    init, cfg.options()),
+                                data, fleet, cfg.to_session()),
+               Error);
+
+  // The same flags build (and run) on a 2-level tree.
+  cfg.topology.levels = 2;
+  cfg.topology.shards = 2;
+  FederationEngine ok(std::make_unique<FedAvgStrategy>(init, cfg.options()),
+                      data, fleet, cfg.to_session());
+  ok.run_round();
 }
 
 // ---------------------------------------------------------------------------
